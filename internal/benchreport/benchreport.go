@@ -129,13 +129,9 @@ type Report struct {
 	GOARCH    string  `json:"goarch"`
 	NumCPU    int     `json:"num_cpu"`
 	Scale     float64 `json:"scale"`
-	// Parallelism is the worker count the runs were collected at (0 or 1 =
-	// serial). Any value must produce bit-identical determinism fields; the
-	// field records which configuration produced the wall-clock numbers.
-	Parallelism int `json:"parallelism,omitempty"`
 	// NoSkip records whether quiescence time skipping was disabled for the
-	// collection. Like Parallelism it cannot change the determinism fields —
-	// only the wall-clock numbers.
+	// collection. It cannot change the determinism fields — only the
+	// wall-clock numbers.
 	NoSkip bool `json:"no_skip,omitempty"`
 	// Fig3WallSeconds is the wall time of a full harness.Fig3 reproduction
 	// at Scale — the end-to-end number a future PR has to beat.
@@ -160,15 +156,14 @@ func Fig3Archs() []string {
 // benchmarks at the given scale, then times one full Fig3 reproduction.
 func Collect(p arch.Params, archs []string, scale float64) (*Report, error) {
 	r := &Report{
-		Schema:      SchemaVersion,
-		CreatedAt:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Scale:       scale,
-		Parallelism: p.Parallelism,
-		NoSkip:      p.NoSkip,
+		Schema:    SchemaVersion,
+		CreatedAt: time.Now().UTC().Format(time.RFC3339),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		Scale:     scale,
+		NoSkip:    p.NoSkip,
 	}
 	for _, a := range archs {
 		for _, b := range workloads.All() {
@@ -180,11 +175,17 @@ func Collect(p arch.Params, archs []string, scale float64) (*Report, error) {
 			// drains any concurrent cycle already in flight — pausing alone
 			// doesn't stop one, and its mark workers would otherwise charge
 			// a few stray allocations to whichever entry they finish under.
+			// The run is single-goroutine, and allocs_per_run reads the
+			// process-wide MemStats, so GOMAXPROCS is pinned to 1 as
+			// testing.AllocsPerRun does: runtime work on another P cannot
+			// then be charged to the cycle loop.
 			gc := debug.SetGCPercent(-1)
 			runtime.GC()
+			procs := runtime.GOMAXPROCS(1)
 			t0 := time.Now()
 			res, err := harness.Run(a, b, p, records)
 			wall := time.Since(t0).Seconds()
+			runtime.GOMAXPROCS(procs)
 			debug.SetGCPercent(gc)
 			if err != nil {
 				return nil, fmt.Errorf("benchreport: %s/%s: %w", a, b.Name(), err)

@@ -50,16 +50,31 @@ func build(t *testing.T, src string) *isa.Program {
 	return p
 }
 
-func newCorelet(t *testing.T, prog *isa.Program, contexts int, port GlobalPort, read Reader) *Corelet {
+// newCorelet builds a one-corelet cluster with its own decoded program.
+func newCorelet(t *testing.T, prog *isa.Program, contexts int, port GlobalPort, read Reader) *Cluster {
 	t.Helper()
-	c, err := New(IDs{Corelet: 2, NumCorelets: 8, NumContexts: contexts}, prog, 4096, DefaultLatencies(), port, read)
+	return newCluster(t, prog, 1, contexts, port, read)
+}
+
+// newCluster builds an n-corelet cluster whose corelets share one port.
+func newCluster(t *testing.T, prog *isa.Program, corelets, contexts int, port GlobalPort, read Reader) *Cluster {
+	t.Helper()
+	code, err := Decode(prog, DefaultLatencies())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	ports := make([]GlobalPort, corelets)
+	for i := range ports {
+		ports[i] = port
+	}
+	cl, err := NewCluster(Config{Corelets: corelets, Contexts: contexts, LocalBytes: 4096, Latencies: DefaultLatencies()}, code, ports, read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
 }
 
-func run(c *Corelet, maxTicks int) int {
+func run(c *Cluster, maxTicks int) int {
 	for i := 0; i < maxTicks; i++ {
 		if c.Halted() {
 			return i
@@ -70,19 +85,27 @@ func run(c *Corelet, maxTicks int) int {
 }
 
 func TestNewValidation(t *testing.T) {
-	prog := build(t, "halt")
+	code, err := Decode(build(t, "halt"), DefaultLatencies())
+	if err != nil {
+		t.Fatal(err)
+	}
 	port := &alwaysHit{}
 	rd := flatMem(nil)
-	if _, err := New(IDs{NumContexts: 4}, nil, 4096, DefaultLatencies(), port, rd); err == nil {
+	cfg := Config{Corelets: 1, Contexts: 4, LocalBytes: 4096, Latencies: DefaultLatencies()}
+	if _, err := Decode(nil, DefaultLatencies()); err == nil {
 		t.Error("nil program accepted")
 	}
-	if _, err := New(IDs{NumContexts: 4}, prog, 0, DefaultLatencies(), port, rd); err == nil {
+	bad := cfg
+	bad.LocalBytes = 0
+	if _, err := NewCluster(bad, code, []GlobalPort{port}, rd); err == nil {
 		t.Error("zero local accepted")
 	}
-	if _, err := New(IDs{NumContexts: 0}, prog, 4096, DefaultLatencies(), port, rd); err == nil {
+	bad = cfg
+	bad.Contexts = 0
+	if _, err := NewCluster(bad, code, []GlobalPort{port}, rd); err == nil {
 		t.Error("zero contexts accepted")
 	}
-	if _, err := New(IDs{NumContexts: 4}, prog, 4096, DefaultLatencies(), nil, rd); err == nil {
+	if _, err := NewCluster(cfg, code, []GlobalPort{nil}, rd); err == nil {
 		t.Error("nil port accepted")
 	}
 }
@@ -103,7 +126,7 @@ func TestStraightLineArithmetic(t *testing.T) {
 		t.Fatal("did not halt")
 	}
 	for ctx := 0; ctx < 4; ctx++ {
-		if got := c.ReadLocal(uint32(ctx * 4)); got != 42 {
+		if got := c.ReadLocal(0, uint32(ctx*4)); got != 42 {
 			t.Errorf("ctx %d result = %d", ctx, got)
 		}
 	}
@@ -127,10 +150,10 @@ func TestCSRValues(t *testing.T) {
 		sw   r5, 12(r0)
 		halt
 	`)
-	c := newCorelet(t, prog, 1, &alwaysHit{}, flatMem(nil))
+	c := newCluster(t, prog, 8, 1, &alwaysHit{}, flatMem(nil))
 	run(c, 100)
-	if c.ReadLocal(0) != 2 || c.ReadLocal(4) != 8 || c.ReadLocal(8) != 1 || c.ReadLocal(12) != 8 {
-		t.Errorf("CSRs = %d %d %d %d", c.ReadLocal(0), c.ReadLocal(4), c.ReadLocal(8), c.ReadLocal(12))
+	if c.ReadLocal(2, 0) != 2 || c.ReadLocal(2, 4) != 8 || c.ReadLocal(2, 8) != 1 || c.ReadLocal(2, 12) != 8 {
+		t.Errorf("CSRs = %d %d %d %d", c.ReadLocal(2, 0), c.ReadLocal(2, 4), c.ReadLocal(2, 8), c.ReadLocal(2, 12))
 	}
 }
 
@@ -147,7 +170,7 @@ func TestLoopAndBranchStats(t *testing.T) {
 	`)
 	c := newCorelet(t, prog, 1, &alwaysHit{}, flatMem(nil))
 	run(c, 1000)
-	if got := c.ReadLocal(0); got != 55 {
+	if got := c.ReadLocal(0, 0); got != 55 {
 		t.Errorf("sum = %d, want 55", got)
 	}
 	s := c.Stats()
@@ -166,8 +189,8 @@ func TestGlobalLoadHit(t *testing.T) {
 	port := &alwaysHit{}
 	c := newCorelet(t, prog, 1, port, flatMem(map[uint32]uint32{0x1004: 99}))
 	run(c, 100)
-	if c.ReadLocal(0) != 99 {
-		t.Errorf("loaded %d", c.ReadLocal(0))
+	if c.ReadLocal(0, 0) != 99 {
+		t.Errorf("loaded %d", c.ReadLocal(0, 0))
 	}
 	if len(port.reads) != 1 || port.reads[0] != 0x1004 {
 		t.Errorf("port reads = %v", port.reads)
@@ -197,8 +220,8 @@ func TestGlobalLoadPendingBlocksContext(t *testing.T) {
 	}
 	port.wake[0]()
 	run(c, 100)
-	if !c.Halted() || c.ReadLocal(0) != 7 {
-		t.Errorf("halted=%v local=%d", c.Halted(), c.ReadLocal(0))
+	if !c.Halted() || c.ReadLocal(0, 0) != 7 {
+		t.Errorf("halted=%v local=%d", c.Halted(), c.ReadLocal(0, 0))
 	}
 }
 
@@ -245,8 +268,8 @@ func TestRetryReissues(t *testing.T) {
 	`)
 	c := newCorelet(t, prog, 1, &retryOnce{}, flatMem(map[uint32]uint32{0: 5}))
 	run(c, 100)
-	if !c.Halted() || c.ReadLocal(0) != 5 {
-		t.Errorf("halted=%v val=%d", c.Halted(), c.ReadLocal(0))
+	if !c.Halted() || c.ReadLocal(0, 0) != 5 {
+		t.Errorf("halted=%v val=%d", c.Halted(), c.ReadLocal(0, 0))
 	}
 	if c.Stats().RetryCycles != 1 {
 		t.Errorf("RetryCycles = %d", c.Stats().RetryCycles)
@@ -261,8 +284,8 @@ func TestR0IsHardwiredZero(t *testing.T) {
 	`)
 	c := newCorelet(t, prog, 1, &alwaysHit{}, flatMem(nil))
 	run(c, 100)
-	if c.ReadLocal(0) != 0 {
-		t.Errorf("r0 = %d after write", c.ReadLocal(0))
+	if c.ReadLocal(0, 0) != 0 {
+		t.Errorf("r0 = %d after write", c.ReadLocal(0, 0))
 	}
 }
 
@@ -278,8 +301,8 @@ func TestCallRet(t *testing.T) {
 	`)
 	c := newCorelet(t, prog, 1, &alwaysHit{}, flatMem(nil))
 	run(c, 100)
-	if c.ReadLocal(0) != 10 {
-		t.Errorf("call/ret result = %d", c.ReadLocal(0))
+	if c.ReadLocal(0, 0) != 10 {
+		t.Errorf("call/ret result = %d", c.ReadLocal(0, 0))
 	}
 }
 
@@ -297,8 +320,8 @@ func TestFloatPath(t *testing.T) {
 	`)
 	c := newCorelet(t, prog, 1, &alwaysHit{}, flatMem(nil))
 	run(c, 200)
-	if isa.F32(c.ReadLocal(0)) != 3.0 {
-		t.Errorf("float result = %v", isa.F32(c.ReadLocal(0)))
+	if isa.F32(c.ReadLocal(0, 0)) != 3.0 {
+		t.Errorf("float result = %v", isa.F32(c.ReadLocal(0, 0)))
 	}
 }
 
@@ -340,9 +363,9 @@ func TestIndirectLocalAccess(t *testing.T) {
 		halt
 	`)
 	c := newCorelet(t, prog, 1, &alwaysHit{}, flatMem(nil))
-	c.WriteLocal(64+12, 41)
+	c.WriteLocal(0, 64+12, 41)
 	run(c, 100)
-	if got := c.ReadLocal(64 + 12); got != 42 {
+	if got := c.ReadLocal(0, 64+12); got != 42 {
 		t.Errorf("counter = %d", got)
 	}
 }
@@ -385,12 +408,12 @@ func TestStreamWalkerLDS(t *testing.T) {
 	c := newCorelet(t, prog, 1, &alwaysHit{}, flatMem(mem))
 	run(c, 200)
 	// Addresses: 0, 8 (chunk ends: +8 stride then +16 fixup -> 32), 32.
-	if c.ReadLocal(0) != 100 || c.ReadLocal(4) != 200 || c.ReadLocal(8) != 300 {
-		t.Errorf("lds values = %d %d %d", c.ReadLocal(0), c.ReadLocal(4), c.ReadLocal(8))
+	if c.ReadLocal(0, 0) != 100 || c.ReadLocal(0, 4) != 200 || c.ReadLocal(0, 8) != 300 {
+		t.Errorf("lds values = %d %d %d", c.ReadLocal(0, 0), c.ReadLocal(0, 4), c.ReadLocal(0, 8))
 	}
 	// After the third lds: 32+8=40, countdown 1.
-	if c.ReadLocal(12) != 40 {
-		t.Errorf("walker address = %d, want 40", c.ReadLocal(12))
+	if c.ReadLocal(0, 12) != 40 {
+		t.Errorf("walker address = %d, want 40", c.ReadLocal(0, 12))
 	}
 }
 
@@ -408,11 +431,11 @@ func TestLDSRetryDoesNotAdvanceWalker(t *testing.T) {
 	`)
 	c := newCorelet(t, prog, 1, &retryOnce{}, flatMem(map[uint32]uint32{0: 55}))
 	run(c, 100)
-	if c.ReadLocal(0) != 55 {
-		t.Errorf("lds after retry = %d", c.ReadLocal(0))
+	if c.ReadLocal(0, 0) != 55 {
+		t.Errorf("lds after retry = %d", c.ReadLocal(0, 0))
 	}
-	if c.ReadLocal(4) != 4 {
-		t.Errorf("walker advanced %d times (addr %d), want exactly once", c.ReadLocal(4)/4, c.ReadLocal(4))
+	if c.ReadLocal(0, 4) != 4 {
+		t.Errorf("walker advanced %d times (addr %d), want exactly once", c.ReadLocal(0, 4)/4, c.ReadLocal(0, 4))
 	}
 }
 
@@ -425,7 +448,7 @@ func TestBarrierNoCoordinatorIsNop(t *testing.T) {
 	`)
 	c := newCorelet(t, prog, 2, &alwaysHit{}, flatMem(nil))
 	run(c, 100)
-	if !c.Halted() || c.ReadLocal(0) != 7 {
+	if !c.Halted() || c.ReadLocal(0, 0) != 7 {
 		t.Error("bar without coordinator should be a no-op")
 	}
 }
@@ -451,7 +474,7 @@ func TestBarrierBlocksUntilRelease(t *testing.T) {
 	}
 	releases[0]()
 	run(c, 100)
-	if !c.Halted() || c.ReadLocal(0) != 1 {
+	if !c.Halted() || c.ReadLocal(0, 0) != 1 {
 		t.Error("did not finish after barrier release")
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -13,9 +14,11 @@ import (
 // pre-sized buffer to its steady-state footprint), a second run of the same
 // experiment must make zero heap allocations inside the cycle loop, for
 // every kernel on every cluster/SIMT architecture. The counter comes from
-// runtime.MemStats deltas around arch.Node.Run (see Node.RunAllocs), which
-// counts every goroutine — so GC is paused during the measured run to keep
-// runtime background work out of the ledger.
+// process-wide runtime.MemStats deltas around arch.Node.Run (see
+// Node.RunAllocs), so runtime background work must be kept out of the
+// ledger: the test pins GOMAXPROCS to 1 (as testing.AllocsPerRun does; the
+// cycle loop runs on one goroutine), finishes any GC cycle in flight, and
+// pauses GC during the measured run.
 //
 // A failure here means a hot-path allocation crept back in; find it with
 //
@@ -28,12 +31,14 @@ func TestCycleLoopAllocFree(t *testing.T) {
 		ArchSSMC, ArchGPGPU, ArchVWS, ArchVWSRow, ArchMulticore,
 	}
 	p := arch.Default()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, a := range archs {
 		for _, b := range workloads.All() {
 			if _, err := Run(a, b, p, 128); err != nil {
 				t.Fatalf("%s/%s warm-up: %v", a, b.Name(), err)
 			}
 			gc := debug.SetGCPercent(-1)
+			runtime.GC()
 			r, err := Run(a, b, p, 128)
 			debug.SetGCPercent(gc)
 			if err != nil {

@@ -48,25 +48,24 @@ func TestSkipBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSkipParallelBitIdentical crosses the two speed knobs: skipping under
-// the 4-worker barrier-batched engine must match the serial edge-by-edge
-// run. The pool runs inside component Ticks while skip windows are agreed in
-// the serial engine loop between them, so the shards see identical batch
-// boundaries by construction — this pins that down.
-func TestSkipParallelBitIdentical(t *testing.T) {
-	p := arch.Default()
+// TestSkipMultiChannelBitIdentical runs the skip-on vs skip-off gate on a
+// 2-channel fabric, where the per-channel quiescence probes are combined
+// and a delivery on one channel can enqueue on another. TestSkipBitIdentical
+// covers only the default single channel.
+func TestSkipMultiChannelBitIdentical(t *testing.T) {
+	p := arch.Default().WithSize(64) // 2 row-interleaved channels
 	b := workloads.CountBench()
 	for _, a := range []string{ArchMillipede, ArchSSMC} {
-		ref, _, err := RunWith(a, b, p, 32, Options{Parallelism: 1, NoSkip: true})
+		ref, _, err := RunWith(a, b, p, 32, Options{NoSkip: true})
 		if err != nil {
-			t.Fatalf("%s serial noskip: %v", a, err)
+			t.Fatalf("%s noskip: %v", a, err)
 		}
-		got, _, err := RunWith(a, b, p, 32, Options{Parallelism: 4})
+		got, _, err := RunWith(a, b, p, 32, Options{})
 		if err != nil {
-			t.Fatalf("%s par=4 skip: %v", a, err)
+			t.Fatalf("%s skip: %v", a, err)
 		}
 		if got.Metrics.Render() != ref.Metrics.Render() {
-			t.Errorf("%s: 4-worker skip snapshot differs from serial edge-by-edge", a)
+			t.Errorf("%s: 2-channel skip snapshot differs from edge-by-edge", a)
 		}
 	}
 }

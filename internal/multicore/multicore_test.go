@@ -10,9 +10,11 @@ import (
 	"repro/internal/workloads"
 )
 
+// launchFor builds a streamed launch of b (seed 42) and returns it with the
+// golden per-thread states the run must reproduce. The launch's Sources are
+// consumed by the processor that packs them, so build one per processor.
 func launchFor(t *testing.T, b *workloads.Benchmark, c Config, records int) (core.Launch, layout.Layout, kernels.StateLayout, [][]uint32) {
 	t.Helper()
-	streams := b.Streams(c.Threads(), records, 42)
 	lay := layout.Layout{
 		RowBytes: c.DRAM.RowBytes, Corelets: c.Cores, Contexts: c.SMT,
 		Interleave: layout.Split, StreamWords: b.StreamWords(records),
@@ -25,7 +27,8 @@ func launchFor(t *testing.T, b *workloads.Benchmark, c Config, records int) (cor
 		t.Fatal(err)
 	}
 	args := kernels.ArgsAndConsts(b.K, lay.Walk(), sl, records)
-	return core.Launch{Prog: b.K.Prog, Interleave: layout.Split, Streams: streams, Args: args}, lay, sl, streams
+	l := core.Launch{Prog: b.K.Prog, Interleave: layout.Split, Sources: b.Sources(c.Threads(), records, 42), Args: args}
+	return l, lay, sl, b.GoldenStatesStreamed(c.Threads(), records, 42)
 }
 
 func TestAllBenchmarksOnMulticore(t *testing.T) {
@@ -34,7 +37,7 @@ func TestAllBenchmarksOnMulticore(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			records := 16
-			l, lay, sl, streams := launchFor(t, b, c, records)
+			l, lay, sl, want := launchFor(t, b, c, records)
 			s, err := New(c, energy.Default(), l)
 			if err != nil {
 				t.Fatal(err)
@@ -44,7 +47,6 @@ func TestAllBenchmarksOnMulticore(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := workloads.ExtractStates(b, sl, lay, s.ReadState)
-			want := b.GoldenStates(streams, records)
 			for th := range want {
 				for i := range want[th] {
 					if got[th][i] != want[th][i] {
@@ -74,6 +76,7 @@ func TestSuperscalarIssuesFasterThanSingleIssue(t *testing.T) {
 	}
 	c1 := c
 	c1.IssueWidth = 1
+	l, _, _, _ = launchFor(t, b, c1, 256)
 	s1, err := New(c1, energy.Default(), l)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +114,7 @@ func TestValidation(t *testing.T) {
 	c := DefaultConfig()
 	b := workloads.CountBench()
 	l, _, _, _ := launchFor(t, b, c, 8)
-	if _, err := New(c, energy.Default(), core.Launch{Streams: l.Streams, Interleave: layout.Split}); err == nil {
+	if _, err := New(c, energy.Default(), core.Launch{Sources: l.Sources, Interleave: layout.Split}); err == nil {
 		t.Error("nil program accepted")
 	}
 	bad := l

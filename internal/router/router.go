@@ -318,7 +318,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // handleSubmit canonicalizes the body to recover the deterministic job id
 // and routes by it.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
 		return
@@ -330,9 +330,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.forwardByKey(w, r, id, body)
 }
-
-// maxBodyBytes bounds a routed POST body.
-const maxBodyBytes = 1 << 20
 
 // forwardByKey proxies r to the key's preferred nodes, retrying transport
 // failures and 5xx gateway-ish responses with exponential backoff.

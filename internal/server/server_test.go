@@ -407,11 +407,11 @@ func TestValidation(t *testing.T) {
 		"unknown experiment": {"experiment": "no-such"},
 		"negative scale":     {"experiment": "fig3", "scale": -1},
 		"negative timeout":   {"experiment": "fig3", "timeout_ms": -5},
-		"bad parallelism":    {"experiment": "fig3", "parallelism": -2},
 		"negative seed":      {"experiment": "fig3", "seed": -7},
 		"bad skip":           {"experiment": "fig3", "skip": "sideways"},
 		"unknown field":      {"experiment": "fig3", "bogus": true},
 		"bad params":         {"experiment": "fig3", "params": map[string]any{"Corelets": -4}},
+		"unknown param":      {"experiment": "fig3", "params": map[string]any{"Bogus": 1}},
 	} {
 		if code, _ := postJob(t, ts, req); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, code)
@@ -427,6 +427,26 @@ func TestValidation(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/"+sb.ID+"/result", nil); code != http.StatusConflict {
 		t.Errorf("result of unfinished job: HTTP %d, want 409", code)
+	}
+}
+
+// TestOversizedBodyRejected: a POST body beyond MaxBodyBytes is cut off at
+// the bound and answered 413, and the worker keeps serving.
+func TestOversizedBodyRejected(t *testing.T) {
+	g := newGateRunner()
+	defer close(g.gate)
+	_, ts := newTestServer(t, server.Options{Runner: g.run})
+	body := `{"experiment": "` + strings.Repeat("x", server.MaxBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+	if code, _ := postJob(t, ts, map[string]any{"experiment": "fig3"}); code != http.StatusAccepted {
+		t.Fatalf("POST after oversized body: HTTP %d, want 202", code)
 	}
 }
 
@@ -447,22 +467,26 @@ func TestParamsOverride(t *testing.T) {
 	}
 }
 
-// TestParallelismOperational: the engine worker count is an operational knob
-// like timeout_ms — requests that differ only in parallelism (top-level or
-// smuggled through params) share one job id, one simulation, and one cache
-// entry, because every worker count produces bit-identical results.
+// TestParallelismOperational: the intra-run engine worker count was
+// removed. A client still sending it, top-level or as a params field
+// (decoded case-insensitively), hears so with a 400 rather than being
+// silently accepted, and no job is created for it: the plain request that
+// follows is still the first job the worker sees.
 func TestParallelismOperational(t *testing.T) {
 	g := newGateRunner()
 	defer close(g.gate)
 	_, ts := newTestServer(t, server.Options{Runner: g.run})
-	_, a := postJob(t, ts, map[string]any{"experiment": "fig3"})
-	_, b := postJob(t, ts, map[string]any{"experiment": "fig3", "parallelism": 8})
-	_, c := postJob(t, ts, map[string]any{"experiment": "fig3", "params": map[string]any{"Parallelism": 4}})
-	if a.ID != b.ID {
-		t.Fatal("top-level parallelism changed the job id; it must stay operational")
+	for name, req := range map[string]map[string]any{
+		"top-level parallelism": {"experiment": "fig3", "parallelism": 8},
+		"params.parallelism":    {"experiment": "fig3", "params": map[string]any{"parallelism": 4}},
+		"params.Parallelism":    {"experiment": "fig3", "params": map[string]any{"Parallelism": 4}},
+	} {
+		if code, _ := postJob(t, ts, req); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, code)
+		}
 	}
-	if a.ID != c.ID {
-		t.Fatal("params.Parallelism changed the job id; canonicalization must strip it")
+	if code, _ := postJob(t, ts, map[string]any{"experiment": "fig3"}); code != http.StatusAccepted {
+		t.Fatalf("plain job after retired-knob requests: HTTP %d, want 202 (a new job)", code)
 	}
 }
 

@@ -21,9 +21,11 @@ func testParams() arch.Params {
 	return p
 }
 
+// launchFor builds a streamed launch of b (seed 42) and returns it with the
+// golden per-thread states the run must reproduce. The launch's Sources are
+// consumed by the processor that packs them, so build one per processor.
 func launchFor(t *testing.T, b *workloads.Benchmark, p arch.Params, records int) (core.Launch, layout.Layout, kernels.StateLayout, [][]uint32) {
 	t.Helper()
-	streams := b.Streams(p.Threads(), records, 42)
 	lay := layout.Layout{
 		RowBytes: p.DRAM.RowBytes, Corelets: p.Corelets, Contexts: p.Contexts,
 		Interleave: layout.Word,
@@ -36,7 +38,8 @@ func launchFor(t *testing.T, b *workloads.Benchmark, p arch.Params, records int)
 		t.Fatal(err)
 	}
 	args := kernels.ArgsAndConsts(b.K, lay.Walk(), sl, records)
-	return core.Launch{Prog: b.K.Prog, Interleave: layout.Word, Streams: streams, Args: args}, lay, sl, streams
+	l := core.Launch{Prog: b.K.Prog, Interleave: layout.Word, Sources: b.Sources(p.Threads(), records, 42), Args: args}
+	return l, lay, sl, b.GoldenStatesStreamed(p.Threads(), records, 42)
 }
 
 func records(b *workloads.Benchmark) int {
@@ -46,11 +49,11 @@ func records(b *workloads.Benchmark) int {
 	return 48
 }
 
-func runVariant(t *testing.T, v Variant, b *workloads.Benchmark) (*SM, Result, [][]uint32, layout.Layout, kernels.StateLayout) {
+func runVariant(t *testing.T, v Variant, b *workloads.Benchmark) (*SM, Result) {
 	t.Helper()
 	p := testParams()
 	n := records(b)
-	l, lay, sl, streams := launchFor(t, b, p, n)
+	l, lay, sl, want := launchFor(t, b, p, n)
 	m, err := NewSM(p, energy.Default(), v, l)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +63,6 @@ func runVariant(t *testing.T, v Variant, b *workloads.Benchmark) (*SM, Result, [
 		t.Fatal(err)
 	}
 	got := workloads.ExtractStates(b, sl, lay, m.ReadShared)
-	want := b.GoldenStates(streams, n)
 	for th := range want {
 		for i := range want[th] {
 			if got[th][i] != want[th][i] {
@@ -69,7 +71,7 @@ func runVariant(t *testing.T, v Variant, b *workloads.Benchmark) (*SM, Result, [
 			}
 		}
 	}
-	return m, res, streams, lay, sl
+	return m, res
 }
 
 func TestAllBenchmarksOnGPGPU(t *testing.T) {
@@ -90,7 +92,7 @@ func TestAllBenchmarksOnVWSRow(t *testing.T) {
 	for _, b := range workloads.All() {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			m, res, _, _, _ := runVariant(t, VWSRow, b)
+			m, res := runVariant(t, VWSRow, b)
 			if res.Prefetch.Prefetches == 0 {
 				t.Error("VWS-row issued no row prefetches")
 			}
@@ -103,7 +105,7 @@ func TestAllBenchmarksOnVWSRow(t *testing.T) {
 }
 
 func TestDivergenceOccursOnBranchyKernels(t *testing.T) {
-	_, res, _, _, _ := runVariant(t, GPGPU, workloads.CountBench())
+	_, res := runVariant(t, GPGPU, workloads.CountBench())
 	if res.SM.Divergences == 0 {
 		t.Error("count's data-dependent filter caused no warp divergence")
 	}
@@ -117,8 +119,8 @@ func TestDivergenceOccursOnBranchyKernels(t *testing.T) {
 
 func TestVWSNarrowWarpsLoseLessOnBranches(t *testing.T) {
 	b := workloads.CountBench()
-	_, g, _, _, _ := runVariant(t, GPGPU, b)
-	_, v, _, _, _ := runVariant(t, VWS, b)
+	_, g := runVariant(t, GPGPU, b)
+	_, v := runVariant(t, VWS, b)
 	gUtil := float64(g.SM.ThreadInsts) / (float64(g.SM.WarpInsts) * 8)
 	vUtil := float64(v.SM.ThreadInsts) / (float64(v.SM.WarpInsts) * 4)
 	if vUtil <= gUtil {
@@ -129,7 +131,7 @@ func TestVWSNarrowWarpsLoseLessOnBranches(t *testing.T) {
 func TestCoalescingKeepsTransactionsLow(t *testing.T) {
 	// Word-interleaved loads from a full-width warp coalesce: transactions
 	// per global read must be far below one per lane.
-	_, res, _, _, _ := runVariant(t, GPGPU, workloads.VarianceBench())
+	_, res := runVariant(t, GPGPU, workloads.VarianceBench())
 	loads := float64(res.SM.ThreadInsts) // upper bound proxy; use DRAM reads instead
 	_ = loads
 	words := uint64(testParams().Threads() * 48)
@@ -141,7 +143,7 @@ func TestCoalescingKeepsTransactionsLow(t *testing.T) {
 func TestSharedMemoryConflictFree(t *testing.T) {
 	// The banked state layout keeps lane i in bank i: indirect accesses
 	// must not serialize (Section III-E).
-	_, res, _, _, _ := runVariant(t, GPGPU, workloads.CountBench())
+	_, res := runVariant(t, GPGPU, workloads.CountBench())
 	if res.SM.BankConflict > res.SM.WarpInsts/100 {
 		t.Errorf("bank conflicts %d on a conflict-free layout", res.SM.BankConflict)
 	}
@@ -150,7 +152,7 @@ func TestSharedMemoryConflictFree(t *testing.T) {
 func TestGPGPURowLocalityGood(t *testing.T) {
 	// Lockstep warps stream rows in order: the DRAM row miss rate of the
 	// block stream must stay near the sequential bound.
-	_, res, _, _, _ := runVariant(t, GPGPU, workloads.VarianceBench())
+	_, res := runVariant(t, GPGPU, workloads.VarianceBench())
 	if rate := res.DRAM.RowMissRate(); rate > 0.25 {
 		t.Errorf("GPGPU row miss rate %.3f; warps not streaming in lockstep", rate)
 	}
@@ -165,7 +167,7 @@ func TestNewSMValidation(t *testing.T) {
 	if _, err := NewSM(p, energy.Default(), GPGPU, bad); err == nil {
 		t.Error("non-Word layout accepted")
 	}
-	if _, err := NewSM(p, energy.Default(), GPGPU, core.Launch{Streams: l.Streams, Interleave: layout.Word}); err == nil {
+	if _, err := NewSM(p, energy.Default(), GPGPU, core.Launch{Sources: l.Sources, Interleave: layout.Word}); err == nil {
 		t.Error("nil program accepted")
 	}
 	pb := p
@@ -281,7 +283,7 @@ next:
 // TestLDSAdvancesPerLane checks the hardware stream walker keeps per-lane
 // state: lanes at different addresses advance independently.
 func TestLDSAdvancesPerLane(t *testing.T) {
-	_, res, _, _, _ := runVariant(t, GPGPU, workloads.VarianceBench())
+	_, res := runVariant(t, GPGPU, workloads.VarianceBench())
 	if res.SM.ThreadInsts == 0 {
 		t.Fatal("no instructions")
 	}
@@ -296,7 +298,7 @@ func TestJitterRobustness(t *testing.T) {
 		b := workloads.CountBench()
 		p := testParams()
 		n := records(b)
-		l, lay, sl, streams := launchFor(t, b, p, n)
+		l, lay, sl, want := launchFor(t, b, p, n)
 		m, err := NewSM(p, energy.Default(), v, l)
 		if err != nil {
 			t.Fatal(err)
@@ -306,7 +308,6 @@ func TestJitterRobustness(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := workloads.ExtractStates(b, sl, lay, m.ReadShared)
-		want := b.GoldenStates(streams, n)
 		for th := range want {
 			for i := range want[th] {
 				if got[th][i] != want[th][i] {

@@ -130,21 +130,14 @@ func NewProcessor(p arch.Params, ep energy.Params, l core.Launch) (*Processor, e
 		}
 		ports[c] = &port{cache: pr.caches[c]}
 	}
-	clcfg := corelet.Config{
+	pr.cluster, err = corelet.NewCluster(corelet.Config{
 		Corelets:   p.Corelets,
 		Contexts:   p.Contexts,
 		LocalBytes: p.LocalBytes,
 		Latencies:  p.Latencies,
-	}
-	if node.Pool != nil {
-		clcfg.Shards = node.Pool.Workers()
-	}
-	pr.cluster, err = corelet.NewCluster(clcfg, code, ports, read)
+	}, code, ports, read)
 	if err != nil {
 		return nil, err
-	}
-	if node.Pool != nil {
-		pr.cluster.SetWorkers(node.Pool)
 	}
 	for c := 0; c < p.Corelets; c++ {
 		for i, w := range l.Args {

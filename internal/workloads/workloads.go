@@ -81,16 +81,6 @@ func (b *Benchmark) Sources(threads, records int, seed uint64) []*datagen.Source
 	return out
 }
 
-// Streams materializes per-thread streams — the legacy one-slice-per-thread
-// shape, still used by tests and small fixed-scale runs.
-func (b *Benchmark) Streams(threads, records int, seed uint64) [][]uint32 {
-	out := make([][]uint32, threads)
-	for t, src := range b.Sources(threads, records, seed) {
-		out[t] = src.Materialize()
-	}
-	return out
-}
-
 // GoldenThread executes the golden reference over one materialized stream.
 func (b *Benchmark) GoldenThread(stream []uint32, records int) []uint32 {
 	st := make([]uint32, b.K.StateWords)
@@ -125,15 +115,6 @@ func chunkWordsFor(recordWords int) int {
 		return recordWords
 	}
 	return GoldenChunkWords - GoldenChunkWords%recordWords
-}
-
-// GoldenStates runs the golden reference over every stream.
-func (b *Benchmark) GoldenStates(streams [][]uint32, records int) [][]uint32 {
-	out := make([][]uint32, len(streams))
-	for t, s := range streams {
-		out[t] = b.GoldenThread(s, records)
-	}
-	return out
 }
 
 // goldenKey identifies one deterministic golden computation; identical keys

@@ -26,9 +26,11 @@ func testRecords(b *Benchmark) int {
 	return 48
 }
 
+// launchFor builds a streamed launch of b (seed 42) and returns it with the
+// golden per-thread states the run must reproduce. The launch's Sources are
+// consumed by the processor that packs them, so build one per processor.
 func launchFor(t *testing.T, b *Benchmark, p arch.Params, il layout.Interleave, records int) (core.Launch, layout.Layout, kernels.StateLayout, [][]uint32) {
 	t.Helper()
-	streams := b.Streams(p.Threads(), records, 42)
 	lay := layout.Layout{
 		RowBytes: p.DRAM.RowBytes, Corelets: p.Corelets, Contexts: p.Contexts,
 		Interleave: il, StreamWords: b.StreamWords(records),
@@ -41,7 +43,8 @@ func launchFor(t *testing.T, b *Benchmark, p arch.Params, il layout.Interleave, 
 		t.Fatal(err)
 	}
 	args := kernels.ArgsAndConsts(b.K, lay.Walk(), sl, records)
-	return core.Launch{Prog: b.K.Prog, Interleave: il, Streams: streams, Args: args}, lay, sl, streams
+	l := core.Launch{Prog: b.K.Prog, Interleave: il, Sources: b.Sources(p.Threads(), records, 42), Args: args}
+	return l, lay, sl, b.GoldenStatesStreamed(p.Threads(), records, 42)
 }
 
 func compareStates(t *testing.T, b *Benchmark, got, want [][]uint32) {
@@ -63,7 +66,7 @@ func TestAllBenchmarksOnMillipede(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			records := testRecords(b)
-			l, lay, sl, streams := launchFor(t, b, p, layout.Slab, records)
+			l, lay, sl, want := launchFor(t, b, p, layout.Slab, records)
 			pr, err := core.NewProcessor(p, energy.Default(), l)
 			if err != nil {
 				t.Fatal(err)
@@ -73,7 +76,7 @@ func TestAllBenchmarksOnMillipede(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := ExtractStates(b, sl, lay, pr.ReadState)
-			compareStates(t, b, got, b.GoldenStates(streams, records))
+			compareStates(t, b, got, want)
 			if res.Prefetch.PrematureEvicts != 0 {
 				t.Errorf("flow control violated on %s", b.Name())
 			}
@@ -90,7 +93,7 @@ func TestAllBenchmarksOnSSMC(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			records := testRecords(b)
-			l, lay, sl, streams := launchFor(t, b, p, layout.Split, records)
+			l, lay, sl, want := launchFor(t, b, p, layout.Split, records)
 			pr, err := ssmc.NewProcessor(p, energy.Default(), l)
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +102,7 @@ func TestAllBenchmarksOnSSMC(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := ExtractStates(b, sl, lay, pr.ReadState)
-			compareStates(t, b, got, b.GoldenStates(streams, records))
+			compareStates(t, b, got, want)
 		})
 	}
 }
@@ -109,7 +112,7 @@ func TestMillipedeNoFlowControlStillCorrect(t *testing.T) {
 	p.FlowControl = false
 	b := NBayesBench()
 	records := testRecords(b)
-	l, lay, sl, streams := launchFor(t, b, p, layout.Slab, records)
+	l, lay, sl, want := launchFor(t, b, p, layout.Slab, records)
 	pr, err := core.NewProcessor(p, energy.Default(), l)
 	if err != nil {
 		t.Fatal(err)
@@ -118,25 +121,23 @@ func TestMillipedeNoFlowControlStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := ExtractStates(b, sl, lay, pr.ReadState)
-	compareStates(t, b, got, b.GoldenStates(streams, records))
+	compareStates(t, b, got, want)
 }
 
 func TestGoldenDeterminism(t *testing.T) {
 	for _, b := range All() {
-		s1 := b.Streams(4, 8, 7)
-		s2 := b.Streams(4, 8, 7)
-		for th := range s1 {
-			for i := range s1[th] {
-				if s1[th][i] != s2[th][i] {
+		for th := 0; th < 4; th++ {
+			s1 := b.Source(7, th, 8).Materialize()
+			s2 := b.Source(7, th, 8).Materialize()
+			for i := range s1 {
+				if s1[i] != s2[i] {
 					t.Fatalf("%s: streams not deterministic", b.Name())
 				}
 			}
-		}
-		g1 := b.GoldenStates(s1, 8)
-		g2 := b.GoldenStates(s2, 8)
-		for th := range g1 {
-			for i := range g1[th] {
-				if g1[th][i] != g2[th][i] {
+			g1 := b.GoldenSource(b.Source(7, th, 8))
+			g2 := b.GoldenThread(s2, 8)
+			for i := range g1 {
+				if g1[i] != g2[i] {
 					t.Fatalf("%s: golden not deterministic", b.Name())
 				}
 			}
@@ -148,11 +149,12 @@ func TestStreamsIndependentOfThreadCount(t *testing.T) {
 	// Thread t's stream must not change when more threads are added, so
 	// goldens are portable across processor geometries.
 	b := CountBench()
-	a := b.Streams(4, 16, 9)
-	c := b.Streams(8, 16, 9)
+	a := b.Sources(4, 16, 9)
+	c := b.Sources(8, 16, 9)
 	for th := range a {
-		for i := range a[th] {
-			if a[th][i] != c[th][i] {
+		sa, sc := a[th].Materialize(), c[th].Materialize()
+		for i := range sa {
+			if sa[i] != sc[i] {
 				t.Fatal("stream changed with thread count")
 			}
 		}
@@ -171,12 +173,10 @@ func TestReduceMatchesWholeInput(t *testing.T) {
 	// For count: reducing per-thread goldens must equal a single-threaded
 	// golden over the concatenated input.
 	b := CountBench()
-	streams := b.Streams(4, 32, 5)
-	states := b.GoldenStates(streams, 32)
-	red := b.Reduce(states)
+	red := b.Reduce(b.GoldenStatesStreamed(4, 32, 5))
 	var whole []uint32
-	for _, s := range streams {
-		whole = append(whole, s...)
+	for _, src := range b.Sources(4, 32, 5) {
+		whole = append(whole, src.Materialize()...)
 	}
 	single := b.GoldenThread(whole, 4*32)
 	for i := range single {
@@ -239,7 +239,7 @@ func TestFaultInjectionJitter(t *testing.T) {
 	p := testParams()
 	for _, b := range []*Benchmark{CountBench(), NBayesBench()} {
 		records := testRecords(b)
-		l, lay, sl, streams := launchFor(t, b, p, layout.Slab, records)
+		l, lay, sl, want := launchFor(t, b, p, layout.Slab, records)
 		pr, err := core.NewProcessor(p, energy.Default(), l)
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestFaultInjectionJitter(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := ExtractStates(b, sl, lay, pr.ReadState)
-		compareStates(t, b, got, b.GoldenStates(streams, records))
+		compareStates(t, b, got, want)
 		if res.Prefetch.PrematureEvicts != 0 {
 			t.Errorf("%s: flow control violated under jitter", b.Name())
 		}
@@ -273,6 +273,7 @@ func TestFaultInjectionSlowsRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l, _, _, _ = launchFor(t, b, p, layout.Slab, records)
 	jit, err := core.NewProcessor(p, energy.Default(), l)
 	if err != nil {
 		t.Fatal(err)
