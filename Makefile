@@ -28,7 +28,13 @@ test:
 #     byte-identical to a one-shot materialization;
 #   TestStreamingConstantMemory — folding an 800x dataset through bounded
 #     buffers must not grow the heap (streamed inputs are O(chunk), never
-#     O(records)).
+#     O(records));
+#   TestMIMDCountersGolden — every counter and histogram of every MIMD
+#     architecture on every kernel matches internal/harness/testdata (the
+#     full-counter form of the BENCH determinism gate);
+#   FuzzAssemble — the assembler returns an error, never panics, on any
+#     input (run for a fixed 20s; a crasher lands in
+#     internal/asm/testdata/fuzz and becomes seed corpus).
 #
 # The harness race suite runs ~10 minutes of simulation wall time on its
 # own (the alloc-free and bit-identity gates each replay full benchmark
@@ -40,6 +46,7 @@ check:
 		./internal/corelet ./internal/mem ./internal/memctrl ./internal/stack \
 		./internal/datagen ./internal/workloads \
 		./internal/jobs ./internal/rescache ./internal/server ./internal/router ./internal/sla
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 20s ./internal/asm
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -13,12 +13,25 @@
 // A processor's corelets live together in a Cluster: every hot word of
 // per-corelet state (PCs, register files, ready bitmaps, issue cooldowns,
 // local memories) is an entry in a structure-of-arrays image indexed by
-// (corelet, context), swept in corelet order once per cycle. The interpreter
-// runs over a predecoded Code image shared read-only by the whole cluster
-// (the paper's one-time code broadcast): each instruction carries its class
-// and issue latency resolved at decode time and the datapath is evaluated in
-// a single dispatch switch, so the steady-state cycle loop performs no table
+// (corelet, context). The interpreter runs over a predecoded Code image
+// shared read-only by the whole cluster (the paper's one-time code
+// broadcast): each instruction carries its class, issue latency and
+// visibility resolved at decode time, and the datapath is evaluated in a
+// single dispatch switch, so the steady-state cycle loop performs no table
 // lookups, no per-corelet virtual calls, and no allocations.
+//
+// A corelet touches shared state only through global loads, the barrier and
+// HALT; its live state stays in registers and local memory (Sections III-B
+// and IV-A). The cluster exploits that isolation: each Tick visits the
+// corelets in corelet order, and a visited corelet runs one window of
+// cycles, not one cycle. The window's first cycle is the corelet's due
+// cycle and may issue anything, at its exact global position. Later cycles
+// run ahead of the cluster only while nothing outside the corelet can
+// observe or change them: no context is parked on a wake, the instruction
+// about to issue is corelet-private, and no tracer is installed. Results
+// are therefore identical to a one-instruction-per-corelet-per-cycle sweep
+// (see run for the rules and TestWindowsMatchCycleSteppedTwin for the
+// differential check).
 package corelet
 
 import (
@@ -87,16 +100,21 @@ type Stats struct {
 }
 
 // dinst is one predecoded instruction: the hot fields of isa.Inst plus the
-// class and issue latency resolved at decode time, packed to 16 bytes so the
-// fetch is a single shift-indexed load with no dependent table lookups.
+// class, issue latency and visibility resolved at decode time, packed to 16
+// bytes so the fetch is a single shift-indexed load with no dependent table
+// lookups.
 type dinst struct {
 	op           isa.Op
 	class        isa.Class
 	rd, rs1, rs2 uint8
-	_            uint8
-	lat          uint16
-	imm          int32
-	_            uint32 // pad to 16 bytes: power-of-two stride for ops[pc]
+	// visible marks the instructions other components can observe (LDG and
+	// LDS reach a port, BAR the barrier, HALT the halt state the engine
+	// polls, STG faults): they issue only at their exact global position.
+	// Every other instruction is corelet-private.
+	visible bool
+	lat     uint16
+	imm     int32
+	_       uint32 // pad to 16 bytes: power-of-two stride for ops[pc]
 }
 
 // Code is a program predecoded against one latency configuration. A
@@ -106,10 +124,9 @@ type dinst struct {
 type Code struct {
 	prog *isa.Program
 	ops  []dinst
-	// takenLat and hitLat are the two latencies the decoded lat field cannot
-	// carry (they depend on the dynamic outcome, not the opcode).
+	// takenLat is the one latency the decoded lat field cannot carry: a
+	// branch's depends on its dynamic outcome, not the opcode.
 	takenLat int64
-	hitLat   int64
 }
 
 // Decode predecodes prog against lat. The result is immutable and safe to
@@ -122,7 +139,6 @@ func Decode(prog *isa.Program, lat Latencies) (*Code, error) {
 		prog:     prog,
 		ops:      make([]dinst, len(prog.Insts)),
 		takenLat: int64(lat.TakenBranch),
-		hitLat:   int64(lat.GlobalHit),
 	}
 	for i, in := range prog.Insts {
 		class := isa.Classify(in.Op)
@@ -134,16 +150,26 @@ func Decode(prog *isa.Program, lat Latencies) (*Code, error) {
 			return nil, fmt.Errorf("corelet: latency %d for %v out of range", l, in.Op)
 		}
 		code.ops[i] = dinst{
-			op:    in.Op,
-			class: class,
-			rd:    in.Rd & (isa.NumRegs - 1),
-			rs1:   in.Rs1 & (isa.NumRegs - 1),
-			rs2:   in.Rs2 & (isa.NumRegs - 1),
-			lat:   uint16(l),
-			imm:   in.Imm,
+			op:      in.Op,
+			class:   class,
+			rd:      in.Rd & (isa.NumRegs - 1),
+			rs1:     in.Rs1 & (isa.NumRegs - 1),
+			rs2:     in.Rs2 & (isa.NumRegs - 1),
+			visible: visible(in.Op),
+			lat:     uint16(l),
+			imm:     in.Imm,
 		}
 	}
 	return code, nil
+}
+
+// visible reports whether op can touch state outside its corelet.
+func visible(op isa.Op) bool {
+	switch op {
+	case isa.LDG, isa.LDS, isa.STG, isa.BAR, isa.HALT:
+		return true
+	}
+	return false
 }
 
 // Program returns the source program the code was decoded from.
@@ -165,6 +191,10 @@ func latencyFor(l Latencies, class isa.Class) int {
 		return l.ALU
 	}
 }
+
+// maxContexts is the most hardware contexts a corelet may have (the width
+// of the ready bitmap).
+const maxContexts = 64
 
 // Config sizes a Cluster.
 type Config struct {
@@ -221,6 +251,9 @@ type Cluster struct {
 	// corelets cost nothing.
 	active      []uint64
 	haltedCores int
+	// now counts Ticks. A corelet whose cycle has passed now is running
+	// ahead (see run) and is passed over until the cluster catches up.
+	now int64
 
 	nctx       int
 	ncore      int
@@ -228,7 +261,6 @@ type Cluster struct {
 	locals     []uint32 // corelet-local SRAMs, localWords each
 	ports      []GlobalPort
 	read       Reader
-	lat        Latencies
 	ctxMask    uint64
 	barrier    BarrierFunc
 	tracers    []Tracer // nil until SetTracer; indexed by corelet
@@ -251,7 +283,7 @@ func NewCluster(cfg Config, code *Code, ports []GlobalPort, read Reader) (*Clust
 		return nil, fmt.Errorf("corelet: empty program")
 	case cfg.Corelets <= 0:
 		return nil, fmt.Errorf("corelet: bad corelet count %d", cfg.Corelets)
-	case cfg.Contexts <= 0 || cfg.Contexts > 64:
+	case cfg.Contexts <= 0 || cfg.Contexts > maxContexts:
 		return nil, fmt.Errorf("corelet: bad context count %d", cfg.Contexts)
 	case cfg.LocalBytes <= 0 || cfg.LocalBytes%4 != 0:
 		return nil, fmt.Errorf("corelet: bad local memory size %d", cfg.LocalBytes)
@@ -266,12 +298,14 @@ func NewCluster(cfg Config, code *Code, ports []GlobalPort, read Reader) (*Clust
 		}
 	}
 	nc, nk := cfg.Corelets, cfg.Contexts
+	// ctxs and regs carry maxContexts contexts of padding past the last
+	// corelet, so run can view any corelet's contexts as a fixed-size array.
 	cl := &Cluster{
 		code:       code,
 		ops:        code.ops,
-		ctxs:       make([]ctxHot, nc*nk),
+		ctxs:       make([]ctxHot, nc*nk+maxContexts),
 		cores:      make([]coreHot, nc),
-		regs:       make([]uint32, nc*nk*isa.NumRegs),
+		regs:       make([]uint32, (nc*nk+maxContexts)*isa.NumRegs),
 		wakes:      make([]func(), nc*nk),
 		active:     make([]uint64, (nc+63)/64),
 		nctx:       nk,
@@ -280,7 +314,6 @@ func NewCluster(cfg Config, code *Code, ports []GlobalPort, read Reader) (*Clust
 		locals:     make([]uint32, nc*cfg.LocalBytes/4),
 		ports:      append([]GlobalPort(nil), ports...),
 		read:       read,
-		lat:        cfg.Latencies,
 		ctxMask:    uint64(1)<<uint(nk) - 1,
 	}
 	for c := 0; c < nc; c++ {
@@ -329,25 +362,34 @@ func (cl *Cluster) CoreHalted(c int) bool { return int(cl.cores[c].haltCt) == cl
 // WriteLocal stores a word into a corelet's local memory (host-side, at
 // launch).
 func (cl *Cluster) WriteLocal(c int, addr uint32, v uint32) {
-	cl.locals[c*cl.localWords+cl.localIndex(c, addr)] = v
+	local := cl.local(c)
+	local[localIndex(local, c, addr)] = v
 }
 
 // ReadLocal fetches a word of a corelet's local memory (host-side, for the
 // final Reduce that drains the partially-reduced live state, Section IV-D).
 func (cl *Cluster) ReadLocal(c int, addr uint32) uint32 {
-	return cl.locals[c*cl.localWords+cl.localIndex(c, addr)]
+	local := cl.local(c)
+	return local[localIndex(local, c, addr)]
+}
+
+// local returns corelet c's local memory.
+func (cl *Cluster) local(c int) []uint32 {
+	return cl.locals[c*cl.localWords : (c+1)*cl.localWords]
 }
 
 // LocalWords returns the local memory size in words.
 func (cl *Cluster) LocalWords() int { return cl.localWords }
 
-// localIndex is kept small enough to inline on the LW/SW hot path; the
-// cold fault diagnostics live in localFault (panicking via a deferred-format
-// value keeps the fast path under the inlining budget).
-func (cl *Cluster) localIndex(c int, addr uint32) int {
+// localIndex returns the word index of addr in corelet c's local memory.
+// It is kept small enough to inline on the LW/SW hot path, where its range
+// check also discharges the slice bounds check; the cold fault diagnostics
+// live in localFault (panicking via a deferred-format value keeps the fast
+// path under the inlining budget).
+func localIndex(local []uint32, c int, addr uint32) int {
 	i := int(addr >> 2)
-	if addr&3 != 0 || i >= cl.localWords {
-		panic(localFault{c: c, addr: addr, words: cl.localWords})
+	if addr&3 != 0 || i >= len(local) {
+		panic(localFault{c: c, addr: addr, words: len(local)})
 	}
 	return i
 }
@@ -409,16 +451,29 @@ func (cl *Cluster) Stats() Stats {
 	return s
 }
 
-// Tick advances every live corelet one compute cycle: each issues at most
-// one instruction from its next ready context in round-robin order. Halted
-// corelets are skipped via the active bitmap.
+// maxWindow caps how many cycles one corelet runs ahead of the cluster in a
+// single window. The windows are exact at any length; the cap only bounds
+// the host work one Tick can do, so a kernel spinning in a private loop
+// still returns to the engine (and its Run limit) every maxWindow cycles.
+const maxWindow = 256
+
+// Tick advances the cluster one compute cycle. Every live corelet whose
+// cycle is due runs one window, in corelet order, so the visible
+// instructions of the due cycle reach the ports and the barrier in exactly
+// the order of a one-instruction-per-corelet sweep. Corelets already ahead
+// of the tick (their due cycle was private and ran in an earlier window)
+// are passed over; halted corelets are skipped via the active bitmap.
 func (cl *Cluster) Tick() {
+	cl.now++
+	until := cl.now + maxWindow - 1
 	for w, word := range cl.active {
 		base := w * 64
 		for word != 0 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			cl.TickCore(c)
+			if cl.cores[c].cycle < cl.now {
+				cl.run(c, until, false)
+			}
 		}
 	}
 }
@@ -431,8 +486,9 @@ const NeverTicks = int64(1<<63 - 1)
 // NextWorkTicks returns the number of cluster ticks from now until the
 // earliest tick at which any active corelet could issue: 1 means the very
 // next tick (busy), NeverTicks means every context is parked on a wake.
-// The bound is exact given the scheduler headers: a corelet cannot issue
-// before cores[c].earliest, and wakes (which reset earliest) only run from
+// A corelet that has run ahead of the cluster reports busy. Otherwise the
+// bound is exact given the scheduler headers: a corelet cannot issue before
+// cores[c].earliest, and wakes (which reset earliest) only run from
 // memory-domain work ticks, which end any skip window.
 func (cl *Cluster) NextWorkTicks() int64 {
 	w := NeverTicks
@@ -442,6 +498,9 @@ func (cl *Cluster) NextWorkTicks() int64 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
 			hd := &cl.cores[c]
+			if hd.cycle > cl.now {
+				return 1
+			}
 			if hd.ready == 0 {
 				continue
 			}
@@ -457,10 +516,12 @@ func (cl *Cluster) NextWorkTicks() int64 {
 	return w
 }
 
-// SkipTicks replays n dead cluster ticks: every active corelet's cycle
-// counter advances and each elided corelet-tick counts as an idle cycle,
-// exactly as TickCore's dead paths would have tallied.
+// SkipTicks replays n dead cluster ticks: the tick counter and every active
+// corelet's cycle counter advance, and each elided corelet-tick counts as
+// an idle cycle, exactly as run's dead paths would have tallied. Only
+// called after NextWorkTicks reported n or more, so no corelet is ahead.
 func (cl *Cluster) SkipTicks(n int64) {
+	cl.now += n
 	na := 0
 	for wi, word := range cl.active {
 		base := wi * 64
@@ -494,69 +555,32 @@ func (cl *Cluster) SkipCoreTicks(c int, n int64) {
 	cl.idleCycles += uint64(n)
 }
 
-// TickCore advances a single corelet one cycle (the multicore model hands
-// each core several issue slots per system cycle; a mid-cycle halt still
-// burns its remaining slots as idle, as the object-per-core model did).
-func (cl *Cluster) TickCore(c int) {
-	hd := &cl.cores[c]
-	hd.cycle++
-	cyc := hd.cycle
-	m := hd.ready
-	if m == 0 {
-		cl.idleCycles++
-		return
-	}
-	if hd.earliest > cyc {
-		// Every runnable context is still covering issue latency; the scan
-		// below cannot succeed before earliest, and wakes reset it.
-		cl.idleCycles++
-		return
-	}
-	n := cl.nctx
-	if n == 4 {
-		// Default geometry: a four-probe circular scan beats the bitmap
-		// segment walk, and the fixed-size array view drops bounds checks.
-		ctxs := (*[4]ctxHot)(cl.ctxs[c*4:])
-		k := int(hd.rr+1) & 3
-		if m == 15 && ctxs[k].readyAt <= cyc {
-			// Streaming steady state: all four contexts runnable and the
-			// round-robin successor ready — no bit tests, one probe.
-			hd.rr = int32(k)
-			cl.exec(c, k, cyc)
-			return
-		}
-		low := int64(math.MaxInt64)
-		for i := 0; i < 4; i++ {
-			if m>>uint(k)&1 != 0 {
-				if r := ctxs[k].readyAt; r <= cyc {
-					hd.rr = int32(k)
-					cl.exec(c, k, cyc)
-					return
-				} else if r < low {
-					low = r
-				}
-			}
-			k = (k + 1) & 3
-		}
-		hd.earliest = low
-		cl.idleCycles++
-		return
-	}
-	start := int(hd.rr) + 1
-	if start >= n {
-		start = 0
-	}
-	// Circular scan from start as two bitmap segments: [start..n-1], then
-	// [0..start-1]. Each probe pops the lowest set bit, so only runnable
-	// contexts are touched.
-	ctxs := cl.ctxs[c*n : c*n+n]
+// TickCore advances a single corelet exactly n cycles, back to back, as a
+// solo run (see run): the multicore model hands each core n issue slots per
+// system cycle and nothing else acts between them. A mid-cycle halt still
+// burns the remaining slots as idle, as the object-per-core model did.
+func (cl *Cluster) TickCore(c, n int) { cl.run(c, cl.cores[c].cycle+int64(n), true) }
+
+// parked reports whether a corelet with runnable-context bitmap ready and
+// haltCt halted contexts has a context waiting on a wake (a pending global
+// load or the barrier). While none does, nothing outside the corelet can
+// change its state.
+func (cl *Cluster) parked(ready uint64, haltCt int32) bool {
+	return bits.OnesCount64(ready)+int(haltCt) != cl.nctx
+}
+
+// scan finds the context of a corelet that issues at cycle cyc: the first
+// runnable context in round-robin order from start whose issue latency has
+// elapsed. The circular scan runs as two bitmap segments, [start..n-1] then
+// [0..start-1], each probe popping the lowest set bit so only runnable
+// contexts are touched. When none can issue it returns -1 and the earliest
+// cycle one can.
+func scan(ctxs []ctxHot, m uint64, start int, cyc int64) (int, int64) {
 	low := int64(math.MaxInt64)
 	for seg := m >> uint(start) << uint(start); seg != 0; seg &= seg - 1 {
 		k := bits.TrailingZeros64(seg)
 		if r := ctxs[k].readyAt; r <= cyc {
-			hd.rr = int32(k)
-			cl.exec(c, k, cyc)
-			return
+			return k, 0
 		} else if r < low {
 			low = r
 		}
@@ -564,15 +588,12 @@ func (cl *Cluster) TickCore(c int) {
 	for seg := m & (1<<uint(start) - 1); seg != 0; seg &= seg - 1 {
 		k := bits.TrailingZeros64(seg)
 		if r := ctxs[k].readyAt; r <= cyc {
-			hd.rr = int32(k)
-			cl.exec(c, k, cyc)
-			return
+			return k, 0
 		} else if r < low {
 			low = r
 		}
 	}
-	hd.earliest = low
-	cl.idleCycles++
+	return -1, low
 }
 
 // advanceStream steps the hardware stream walker (isa.LDS semantics).
@@ -585,259 +606,351 @@ func advanceStream(regs *[isa.NumRegs]uint32) {
 	}
 }
 
-// exec interprets one instruction for context k of corelet c. The datapath,
-// branch conditions, and special cases all live in one switch over the
-// predecoded opcode, so each instruction costs a single dispatch; class
-// counting and issue latency come from the decoded fields.
-func (cl *Cluster) exec(c, k int, cyc int64) {
-	idx := c*cl.nctx + k
-	ct := &cl.ctxs[idx]
-	pc := ct.pc
-	in := &cl.ops[pc]
-	if cl.tracers != nil {
-		if t := cl.tracers[c]; t != nil {
-			t(cyc, k, int(pc), cl.code.prog.Insts[pc])
-		}
+// run is the interpreter: it advances corelet c from its next cycle (its
+// due cycle) through at most cycle until, one window. Each cycle issues at
+// most one instruction, from the next ready context in round-robin order.
+//
+// The due cycle is simulated unconditionally and may issue anything. Later
+// cycles run only while they are invisible to the rest of the machine, so
+// running them early is exact:
+//   - no context is parked, so no wake or barrier release can reach the
+//     corelet before its cycle comes round (ports wake only the context
+//     they answered Pending, and the barrier only contexts that arrived);
+//   - the instruction about to issue is corelet-private (dinst.visible is
+//     clear): it reads and writes only registers, local memory and the
+//     cluster's commutative counters, never a port, the barrier or the
+//     halt state the engine polls;
+//   - the corelet has no tracer, whose events must interleave with the
+//     fabric's in global order.
+//
+// Cycles in which every runnable context is still covering issue latency
+// are private too; they are tallied as idle in one step. The window stops
+// before the first visible instruction, which then issues as the due cycle
+// of a later window at its exact tick.
+//
+// A solo run drops those rules: the caller guarantees nothing else in the
+// machine acts before cycle until completes (TickCore's back-to-back issue
+// slots), so every cycle through until is its due cycle in turn.
+//
+// The datapath, branch conditions and special cases all live in one switch
+// over the predecoded opcode.
+func (cl *Cluster) run(c int, until int64, solo bool) {
+	hd := &cl.cores[c]
+	last := hd.cycle // the last simulated cycle
+	start := last + 1
+	m := hd.ready
+	if !solo && until > start && (cl.parked(m, hd.haltCt) || cl.tracers != nil && cl.tracers[c] != nil) {
+		until = start
 	}
-	// Register indices are masked to the register-file size (already
-	// guaranteed by Decode), which lets the compiler elide bounds checks.
-	regs := (*[isa.NumRegs]uint32)(cl.regs[idx*isa.NumRegs:])
-	a := regs[in.rs1&31]
-	b := regs[in.rs2&31]
-	var v uint32
-
-	switch in.op {
-	case isa.NOP:
-		v = 0
-	case isa.HALT:
-		cl.classCounts[in.class&15]++
-		hd := &cl.cores[c]
-		hd.ready &^= 1 << uint(k)
-		hd.haltCt++
-		if int(hd.haltCt) == cl.nctx {
-			cl.active[c/64] &^= 1 << uint(c%64)
-			cl.haltedCores++
+	if m == 0 || hd.earliest > start {
+		// Every context is parked or halted, or every runnable one is still
+		// covering issue latency and nothing can wake it early: idle
+		// through cycle earliest-1.
+		last = until
+		if m != 0 {
+			last = min(hd.earliest-1, until)
 		}
-		return
-	case isa.ADD:
-		v = a + b
-	case isa.SUB:
-		v = a - b
-	case isa.MUL:
-		v = uint32(int32(a) * int32(b))
-	case isa.DIV:
-		ia, ib := int32(a), int32(b)
-		switch {
-		case ib == 0:
-			v = ^uint32(0) // RISC-V semantics: -1 on divide by zero
-		case ia == math.MinInt32 && ib == -1:
-			v = a // overflow: result = dividend
-		default:
-			v = uint32(ia / ib)
-		}
-	case isa.REM:
-		ia, ib := int32(a), int32(b)
-		switch {
-		case ib == 0:
-			v = a
-		case ia == math.MinInt32 && ib == -1:
-			v = 0
-		default:
-			v = uint32(ia % ib)
-		}
-	case isa.AND:
-		v = a & b
-	case isa.OR:
-		v = a | b
-	case isa.XOR:
-		v = a ^ b
-	case isa.SLL:
-		v = a << (b & 31)
-	case isa.SRL:
-		v = a >> (b & 31)
-	case isa.SRA:
-		v = uint32(int32(a) >> (b & 31))
-	case isa.SLT:
-		if int32(a) < int32(b) {
-			v = 1
-		}
-	case isa.SLTU:
-		if a < b {
-			v = 1
-		}
-	case isa.MIN:
-		v = b
-		if int32(a) < int32(b) {
-			v = a
-		}
-	case isa.MAX:
-		v = b
-		if int32(a) > int32(b) {
-			v = a
-		}
-	case isa.ADDI:
-		v = uint32(int32(a) + in.imm)
-	case isa.ANDI:
-		v = a & uint32(in.imm)
-	case isa.ORI:
-		v = a | uint32(in.imm)
-	case isa.XORI:
-		v = a ^ uint32(in.imm)
-	case isa.SLLI:
-		v = a << (uint32(in.imm) & 31)
-	case isa.SRLI:
-		v = a >> (uint32(in.imm) & 31)
-	case isa.SRAI:
-		v = uint32(int32(a) >> (uint32(in.imm) & 31))
-	case isa.SLTI:
-		if int32(a) < in.imm {
-			v = 1
-		}
-	case isa.LUI:
-		v = uint32(in.imm) << 12
-	case isa.FADD:
-		v = isa.Bits(isa.F32(a) + isa.F32(b))
-	case isa.FSUB:
-		v = isa.Bits(isa.F32(a) - isa.F32(b))
-	case isa.FMUL:
-		v = isa.Bits(isa.F32(a) * isa.F32(b))
-	case isa.FDIV:
-		v = isa.Bits(isa.F32(a) / isa.F32(b))
-	case isa.FSQRT:
-		v = isa.Bits(float32(math.Sqrt(float64(isa.F32(a)))))
-	case isa.FMIN:
-		v = isa.Bits(float32(math.Min(float64(isa.F32(a)), float64(isa.F32(b)))))
-	case isa.FMAX:
-		v = isa.Bits(float32(math.Max(float64(isa.F32(a)), float64(isa.F32(b)))))
-	case isa.FLT:
-		if isa.F32(a) < isa.F32(b) {
-			v = 1
-		}
-	case isa.FLE:
-		if isa.F32(a) <= isa.F32(b) {
-			v = 1
-		}
-	case isa.FEQ:
-		if isa.F32(a) == isa.F32(b) {
-			v = 1
-		}
-	case isa.CVTIF:
-		v = isa.Bits(float32(int32(a)))
-	case isa.CVTFI:
-		v = uint32(int32(isa.F32(a)))
-	case isa.LW:
-		addr := uint32(int32(a) + in.imm)
-		v = cl.locals[c*cl.localWords+cl.localIndex(c, addr)]
-	case isa.SW:
-		addr := uint32(int32(a) + in.imm)
-		cl.locals[c*cl.localWords+cl.localIndex(c, addr)] = b
-		cl.classCounts[in.class&15]++
-		ct.pc = pc + 1
-		ct.readyAt = cyc + int64(in.lat)
-		return
-	case isa.LDG, isa.LDS:
-		// A global load's timing is resolved before the instruction
-		// retires: on Retry the context stays put and re-issues the same
-		// instruction next cycle; on Pending it sleeps until the memory
-		// system's callback.
-		addr := uint32(int32(a) + in.imm)
-		if in.op == isa.LDS {
-			addr = regs[isa.StreamAddr]
-		}
-		stl := cl.ports[c].Read(k, addr, cl.wakes[idx])
-		switch stl {
-		case Retry:
-			cl.retryCycles++
-			return // PC unchanged; retry next cycle
-		case Pending:
-			cl.cores[c].ready &^= 1 << uint(k)
-		}
-		if in.rd != 0 {
-			regs[in.rd&31] = cl.read(addr)
-		}
-		if in.op == isa.LDS {
-			advanceStream(regs)
-		}
-		cl.classCounts[in.class&15]++
-		ct.pc = pc + 1
-		if stl == Done {
-			ct.readyAt = cyc + int64(in.lat)
-		}
-		return
-	case isa.STG:
-		// The PNM execution model keeps live state in local memory
-		// (Section III-B); a global store in a kernel is a porting bug,
-		// surfaced loudly rather than silently mis-timed.
-		panic("corelet: STG not supported by the PNM kernels (live state must stay in local memory)")
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
-		cl.condBranches++
-		var taken bool
-		switch in.op {
-		case isa.BEQ:
-			taken = a == b
-		case isa.BNE:
-			taken = a != b
-		case isa.BLT:
-			taken = int32(a) < int32(b)
-		case isa.BGE:
-			taken = int32(a) >= int32(b)
-		case isa.BLTU:
-			taken = a < b
-		default: // BGEU
-			taken = a >= b
-		}
-		cl.classCounts[in.class&15]++
-		if taken {
-			cl.takenCond++
-			ct.pc = in.imm
-			ct.readyAt = cyc + cl.code.takenLat
+		cl.idleCycles += uint64(last - start + 1)
+		if last == until {
+			hd.cycle = last
 			return
 		}
-		ct.pc = pc + 1
-		ct.readyAt = cyc + int64(in.lat)
-		return
-	case isa.J:
-		cl.classCounts[in.class&15]++
-		ct.pc = in.imm
-		ct.readyAt = cyc + cl.code.takenLat
-		return
-	case isa.JAL:
-		cl.classCounts[in.class&15]++
-		if in.rd != 0 {
-			regs[in.rd&31] = uint32(pc + 1)
+	}
+	nk, full, rr := cl.nctx, cl.ctxMask, int(hd.rr)
+	ops, takenLat := cl.ops, cl.code.takenLat
+	// The per-corelet views are fixed-size arrays over padded storage, so
+	// masked context and register indices need no bounds checks.
+	ctxs := (*[maxContexts]ctxHot)(cl.ctxs[c*nk:])
+	rf := (*[maxContexts * isa.NumRegs]uint32)(cl.regs[c*nk*isa.NumRegs:])
+	local := cl.local(c)
+window:
+	for last < until {
+		cyc := last + 1
+		k := rr + 1
+		if k == nk {
+			k = 0
 		}
-		ct.pc = in.imm
-		ct.readyAt = cyc + cl.code.takenLat
-		return
-	case isa.JR:
-		cl.classCounts[in.class&15]++
-		ct.pc = int32(a)
-		ct.readyAt = cyc + cl.code.takenLat
-		return
-	case isa.CSRR:
-		v = cl.csr(c, k, in.imm)
-	case isa.BAR:
-		if cl.barrier != nil {
+		if m != full || ctxs[k&(maxContexts-1)].readyAt > cyc {
+			// Off the streaming steady state (all contexts runnable and the
+			// round-robin successor ready): scan.
+			if m == 0 {
+				// Every context is parked or halted: a window retired the
+				// corelet's last HALT; a solo run idles out its cycles.
+				if solo {
+					cl.idleCycles += uint64(until - cyc + 1)
+					last = until
+				}
+				break
+			}
+			var low int64
+			if k, low = scan(ctxs[:nk], m, k, cyc); k < 0 {
+				// Idle until the earliest context is ready, as above.
+				hd.earliest = low
+				l := min(low-1, until)
+				cl.idleCycles += uint64(l - cyc + 1)
+				last = l
+				continue
+			}
+		}
+		k &= maxContexts - 1
+		ct := &ctxs[k]
+		pc := ct.pc
+		in := &ops[pc]
+		if in.visible && cyc != start && !solo {
+			break // issues at its own tick, as the due cycle of a later window
+		}
+		last, rr = cyc, k
+		if cl.tracers != nil {
+			if t := cl.tracers[c]; t != nil {
+				t(cyc, k, int(pc), cl.code.prog.Insts[pc])
+			}
+		}
+		// Register indices are masked to the register-file size (already
+		// guaranteed by Decode), which lets the compiler elide bounds checks.
+		ri := k * isa.NumRegs
+		a := rf[ri|int(in.rs1&31)]
+		b := rf[ri|int(in.rs2&31)]
+		var v uint32
+
+		switch in.op {
+		case isa.NOP:
+			v = 0
+		case isa.HALT:
+			cl.classCounts[in.class&15]++
+			m &^= 1 << uint(k)
+			hd.haltCt++
+			if int(hd.haltCt) == nk {
+				cl.active[c/64] &^= 1 << uint(c%64)
+				cl.haltedCores++
+			}
+			continue
+		case isa.ADD:
+			v = a + b
+		case isa.SUB:
+			v = a - b
+		case isa.MUL:
+			v = uint32(int32(a) * int32(b))
+		case isa.DIV:
+			ia, ib := int32(a), int32(b)
+			switch {
+			case ib == 0:
+				v = ^uint32(0) // RISC-V semantics: -1 on divide by zero
+			case ia == math.MinInt32 && ib == -1:
+				v = a // overflow: result = dividend
+			default:
+				v = uint32(ia / ib)
+			}
+		case isa.REM:
+			ia, ib := int32(a), int32(b)
+			switch {
+			case ib == 0:
+				v = a
+			case ia == math.MinInt32 && ib == -1:
+				v = 0
+			default:
+				v = uint32(ia % ib)
+			}
+		case isa.AND:
+			v = a & b
+		case isa.OR:
+			v = a | b
+		case isa.XOR:
+			v = a ^ b
+		case isa.SLL:
+			v = a << (b & 31)
+		case isa.SRL:
+			v = a >> (b & 31)
+		case isa.SRA:
+			v = uint32(int32(a) >> (b & 31))
+		case isa.SLT:
+			if int32(a) < int32(b) {
+				v = 1
+			}
+		case isa.SLTU:
+			if a < b {
+				v = 1
+			}
+		case isa.MIN:
+			v = b
+			if int32(a) < int32(b) {
+				v = a
+			}
+		case isa.MAX:
+			v = b
+			if int32(a) > int32(b) {
+				v = a
+			}
+		case isa.ADDI:
+			v = uint32(int32(a) + in.imm)
+		case isa.ANDI:
+			v = a & uint32(in.imm)
+		case isa.ORI:
+			v = a | uint32(in.imm)
+		case isa.XORI:
+			v = a ^ uint32(in.imm)
+		case isa.SLLI:
+			v = a << (uint32(in.imm) & 31)
+		case isa.SRLI:
+			v = a >> (uint32(in.imm) & 31)
+		case isa.SRAI:
+			v = uint32(int32(a) >> (uint32(in.imm) & 31))
+		case isa.SLTI:
+			if int32(a) < in.imm {
+				v = 1
+			}
+		case isa.LUI:
+			v = uint32(in.imm) << 12
+		case isa.FADD:
+			v = isa.Bits(isa.F32(a) + isa.F32(b))
+		case isa.FSUB:
+			v = isa.Bits(isa.F32(a) - isa.F32(b))
+		case isa.FMUL:
+			v = isa.Bits(isa.F32(a) * isa.F32(b))
+		case isa.FDIV:
+			v = isa.Bits(isa.F32(a) / isa.F32(b))
+		case isa.FSQRT:
+			v = isa.Bits(float32(math.Sqrt(float64(isa.F32(a)))))
+		case isa.FMIN:
+			v = isa.Bits(float32(math.Min(float64(isa.F32(a)), float64(isa.F32(b)))))
+		case isa.FMAX:
+			v = isa.Bits(float32(math.Max(float64(isa.F32(a)), float64(isa.F32(b)))))
+		case isa.FLT:
+			if isa.F32(a) < isa.F32(b) {
+				v = 1
+			}
+		case isa.FLE:
+			if isa.F32(a) <= isa.F32(b) {
+				v = 1
+			}
+		case isa.FEQ:
+			if isa.F32(a) == isa.F32(b) {
+				v = 1
+			}
+		case isa.CVTIF:
+			v = isa.Bits(float32(int32(a)))
+		case isa.CVTFI:
+			v = uint32(int32(isa.F32(a)))
+		case isa.LW:
+			v = local[localIndex(local, c, uint32(int32(a)+in.imm))]
+		case isa.SW:
+			local[localIndex(local, c, uint32(int32(a)+in.imm))] = b
 			cl.classCounts[in.class&15]++
 			ct.pc = pc + 1
-			cl.cores[c].ready &^= 1 << uint(k)
-			cl.barrier(cl.wakes[idx])
-			return
+			ct.readyAt = cyc + int64(in.lat)
+			continue
+		case isa.LDG, isa.LDS:
+			// A global load's timing is resolved before the instruction
+			// retires: on Retry the context stays put and re-issues the same
+			// instruction on a later cycle; on Pending it sleeps until the
+			// memory system's callback, which ends the window.
+			regs := (*[isa.NumRegs]uint32)(rf[ri : ri+isa.NumRegs])
+			addr := uint32(int32(a) + in.imm)
+			if in.op == isa.LDS {
+				addr = regs[isa.StreamAddr]
+			}
+			stl := cl.ports[c].Read(k, addr, cl.wakes[c*nk+k])
+			if stl == Retry {
+				cl.retryCycles++
+				continue // PC unchanged
+			}
+			if in.rd != 0 {
+				regs[in.rd&31] = cl.read(addr)
+			}
+			if in.op == isa.LDS {
+				advanceStream(regs)
+			}
+			cl.classCounts[in.class&15]++
+			ct.pc = pc + 1
+			if stl == Pending {
+				m &^= 1 << uint(k)
+				if !solo {
+					break window
+				}
+				continue
+			}
+			ct.readyAt = cyc + int64(in.lat)
+			continue
+		case isa.STG:
+			// The PNM execution model keeps live state in local memory
+			// (Section III-B); a global store in a kernel is a porting bug,
+			// surfaced loudly rather than silently mis-timed.
+			panic("corelet: STG not supported by the PNM kernels (live state must stay in local memory)")
+		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
+			cl.condBranches++
+			var taken bool
+			switch in.op {
+			case isa.BEQ:
+				taken = a == b
+			case isa.BNE:
+				taken = a != b
+			case isa.BLT:
+				taken = int32(a) < int32(b)
+			case isa.BGE:
+				taken = int32(a) >= int32(b)
+			case isa.BLTU:
+				taken = a < b
+			default: // BGEU
+				taken = a >= b
+			}
+			cl.classCounts[in.class&15]++
+			if taken {
+				cl.takenCond++
+				ct.pc = in.imm
+				ct.readyAt = cyc + takenLat
+				continue
+			}
+			ct.pc = pc + 1
+			ct.readyAt = cyc + int64(in.lat)
+			continue
+		case isa.J:
+			cl.classCounts[in.class&15]++
+			ct.pc = in.imm
+			ct.readyAt = cyc + takenLat
+			continue
+		case isa.JAL:
+			cl.classCounts[in.class&15]++
+			if in.rd != 0 {
+				rf[ri|int(in.rd&31)] = uint32(pc + 1)
+			}
+			ct.pc = in.imm
+			ct.readyAt = cyc + takenLat
+			continue
+		case isa.JR:
+			cl.classCounts[in.class&15]++
+			ct.pc = int32(a)
+			ct.readyAt = cyc + takenLat
+			continue
+		case isa.CSRR:
+			v = cl.csr(c, k, in.imm)
+		case isa.BAR:
+			cl.classCounts[in.class&15]++
+			ct.pc = pc + 1
+			if cl.barrier == nil {
+				// No coordinator installed: BAR is a no-op that writes no
+				// register.
+				ct.readyAt = cyc + int64(in.lat)
+				continue
+			}
+			// The coordinator may release synchronously, waking contexts
+			// of this corelet: hand it the header and read it back.
+			hd.ready = m &^ (1 << uint(k))
+			cl.barrier(cl.wakes[c*nk+k])
+			m = hd.ready
+			if !solo && cl.parked(m, hd.haltCt) {
+				break window
+			}
+			continue
+		default:
+			panic(fmt.Sprintf("corelet: unhandled op %v at pc %d", in.op, pc))
 		}
-		// No coordinator installed: BAR is a no-op that writes no register.
+		// Unconditional writeback: rd==0 means "discard", which the tail models
+		// by letting the store land in r0 and re-zeroing it — two cheap stores
+		// instead of a data-dependent branch on the hot path.
+		rf[ri|int(in.rd&31)] = v
+		rf[ri] = 0
 		cl.classCounts[in.class&15]++
 		ct.pc = pc + 1
 		ct.readyAt = cyc + int64(in.lat)
-		return
-	default:
-		panic(fmt.Sprintf("corelet: unhandled op %v at pc %d", in.op, pc))
 	}
-	// Unconditional writeback: rd==0 means "discard", which the tail models
-	// by letting the store land in r0 and re-zeroing it — two cheap stores
-	// instead of a data-dependent branch on the hot path.
-	regs[in.rd&31] = v
-	regs[0] = 0
-	cl.classCounts[in.class&15]++
-	ct.pc = pc + 1
-	ct.readyAt = cyc + int64(in.lat)
+	hd.cycle, hd.ready, hd.rr = last, m, int32(rr)
 }

@@ -415,9 +415,7 @@ func (s *System) tick(sim.Time) {
 	live := s.live
 	n := 0
 	for i, co := range live {
-		for k := 0; k < s.C.IssueWidth; k++ {
-			s.cluster.TickCore(int(co))
-		}
+		s.cluster.TickCore(int(co), s.C.IssueWidth)
 		if !s.cluster.CoreHalted(int(co)) {
 			if n != i {
 				live[n] = co // only move on an actual halt
